@@ -37,56 +37,66 @@ struct Queued {
 }
 
 /// Winning demand command with its earliest legal instant. The scheduling
-/// class and arrival that decided the FR-FCFS tie-break live in
-/// [`ScanEntry`] and are consumed inside the scan; only the materialized
-/// command survives.
+/// class and arrival that decided the FR-FCFS tie-break live in the packed
+/// candidate (see [`pack_cand`]); only the materialized command survives.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     cmd: Command,
     at: Ps,
 }
 
-/// Candidate kind codes for the scan mirror (`MemController::entries`):
-/// the scan hot loop reads these packed entries instead of matching on
-/// [`BankPlan`].
-const KIND_RD: u8 = 0;
-const KIND_WR: u8 = 1;
-const KIND_ACT: u8 = 2;
-const KIND_CONFLICT: u8 = 3;
-const KIND_SOFTCLOSE: u8 = 4;
-const KIND_IDLE: u8 = 5;
-const KIND_STALE: u8 = 6;
+/// Candidate kinds. Banks holding a candidate are grouped by the shared
+/// floor their selection instant takes: column reads, column writes,
+/// conflict PREs, soft-close PREs, and ACTs, one kind per rank (tRRD and
+/// tFAW are per rank). `KIND_ACT + rank` indexes a rank's ACT kind.
+const KIND_RD: usize = 0;
+const KIND_WR: usize = 1;
+const KIND_CONFLICT: usize = 2;
+const KIND_SOFTCLOSE: usize = 3;
+const KIND_ACT: usize = 4;
+/// [`BankEntry::kind`] of a bank without a candidate (empty queue, closed).
+const NO_KIND: u8 = u8::MAX;
 
-/// One bank's scan-loop state, packed so a visit touches a single array
-/// slot: candidate kind (`KIND_*`, with staleness folded in), scheduling
-/// class (column > activate > precharge > soft close), the floor-free key
-/// `max(local, arrival)`, and the arrival tie-break. The selection `at`
-/// is `key.max(per-class shared floor)`, because
-/// `max(local, floor, block, arrival, now)` factors into
-/// `max(max(local, arrival), max(floor, block, now))`.
+/// One bank's arbitration state: its candidate kind and the floor-free
+/// candidate `pack_cand(max(local, arrival), class, arrival, flat)`.
 #[derive(Debug, Clone, Copy)]
-struct ScanEntry {
+struct BankEntry {
     kind: u8,
-    class: u8,
-    key: Ps,
-    arr: Ps,
-    /// The floor-free candidate pre-packed at refresh time:
-    /// `pack_cand(key, class, arr, flat)` (`u128::MAX` when no candidate).
-    /// A scan visit folds the per-class floor in with one AND/OR/`max`
-    /// instead of re-packing, since entries are visited many times per
-    /// refresh.
     packed: u128,
 }
 
-const STALE_ENTRY: ScanEntry = ScanEntry {
-    kind: KIND_STALE,
-    class: u8::MAX,
-    key: Ps::MAX,
-    arr: Ps::MAX,
+const IDLE_ENTRY: BankEntry = BankEntry {
+    kind: NO_KIND,
     packed: u128::MAX,
 };
 
-/// Packed scan-candidate layout: `[at:48 | class:8 | arr:48 | flat:8]`.
+/// One candidate kind's cached FR-FCFS winner.
+///
+/// Exactness rule: `winner` is the `min` over the kind's members of the
+/// floored candidate `pack_cand(max(key, floor), ..)`. It stays exact while
+/// the members are unchanged and the floor moves within
+/// `floor ≤ new floor ≤ at(winner)`: the winner's `at` is then unchanged,
+/// and every other member's candidate can only rise. Every base/`now` rise
+/// after an issue lands in that window unless it passes the winner.
+#[derive(Debug, Clone, Copy)]
+struct KindWinner {
+    /// Best floored member candidate, `u128::MAX` when the kind is empty.
+    winner: u128,
+    /// The shared floor `winner` was folded at, pre-shifted into the `at`
+    /// field of the pack.
+    floor: u128,
+    /// The winner left the kind or the floor moved outside the exactness
+    /// window: recompute `winner` from the members.
+    dirty: bool,
+}
+
+const EMPTY_KIND: KindWinner = KindWinner {
+    winner: u128::MAX,
+    floor: 0,
+    dirty: false,
+};
+
+/// Packed candidate layout: `[at:48 | class:8 | arr:48 | flat:8]`.
 /// Ordering a candidate by this u128 is exactly the FR-FCFS selection rule
 /// — `(at, class, arrival)` strict `<` with the lowest flat index winning
 /// ties (the bank a full ascending scan would visit first). 48 bits hold
@@ -109,15 +119,30 @@ fn pack_cand(at: Ps, class: u8, arr: Ps, flat: usize) -> u128 {
         | flat as u128
 }
 
+/// A shared floor shifted into the `at` field of the pack.
+#[inline]
+fn pack_floor(floor: Ps) -> u128 {
+    u128::from(floor.as_ps().min(PACK_MASK48)) << PACK_AT
+}
+
+/// A floor-free candidate with the shared floor folded in: the same as
+/// re-packing `max(key, floor)`, since the low bits match. Branchless, so
+/// the winner fold is a plain u128 `min` (compare + cmov) rather than the
+/// unpredictable branch chain a tuple compare produces.
+#[inline]
+fn floored(packed: u128, floor: u128) -> u128 {
+    packed.max(floor | (packed & PACK_LOW_MASK))
+}
+
 /// Cached per-bank scheduling plan: what this bank's queue wants next,
 /// with the *bank-local* release instant. The shared floors — rank ACT
 /// window ([`Subchannel::act_floor`]), column/bus
 /// ([`Subchannel::col_floor`]), global block and `now` — are applied at
-/// selection time, so a plan only goes `Stale` when the bank itself is
+/// selection time, so a plan only goes stale when the bank itself is
 /// mutated (a command issued to it, a request enqueued on it, or a
-/// blocking command touching every bank). Staleness lives in the
-/// [`ScanEntry`] kind, not here: a `KIND_STALE` entry means this plan is
-/// out of date and `refresh_plan` must run before it is read.
+/// blocking command touching every bank). Staleness lives in
+/// `MemController::stale`: a set bit means this plan is out of date and
+/// `refresh_plan` must run before it is read.
 #[derive(Debug, Clone, Copy)]
 enum BankPlan {
     /// Empty queue, bank precharged: nothing to do.
@@ -137,6 +162,17 @@ enum BankPlan {
     Act { local: Ps, row: u32, arrival: Ps },
 }
 
+/// Commands issued by one [`MemController::run_until`] call, flushed to the
+/// telemetry counters once per call instead of per command.
+#[derive(Debug, Default)]
+struct PassCounts {
+    cmds: u64,
+    reads: u64,
+    writes: u64,
+    acts: u64,
+    refs: u64,
+}
+
 /// Memory controller driving one [`Subchannel`].
 ///
 /// The controller is event-driven: [`MemController::run_until`] issues every
@@ -147,25 +183,29 @@ pub struct MemController {
     cfg: McConfig,
     subch: u32,
     queues: Vec<VecDeque<Queued>>,
-    /// Per-bank plan cache, flat-indexed alongside `queues` — the hot
-    /// state the scheduler scans instead of re-deriving every bank's
-    /// candidate per pick.
+    /// Per-bank plan cache, flat-indexed alongside `queues`: what each
+    /// bank wants next, read when its candidate wins.
     plans: Vec<BankPlan>,
-    /// Bitmask words over `plans`: a set bit means the bank may hold a
-    /// candidate (plan `Stale` or non-`Idle`). The scan walks set bits in
-    /// ascending flat order — identical visit order to the full loop — and
-    /// clears a bit when a refresh lands on `Idle`, so a quiet bank costs
-    /// nothing until an enqueue or an all-bank command re-arms it.
-    active: Vec<u64>,
-    /// Scan mirror of `plans` for the hot loop, one slot per bank (see
-    /// [`ScanEntry`]). Maintained by `refresh_plan`; staling a bank only
-    /// writes the entry's kind.
-    entries: Vec<ScanEntry>,
-    /// Per-rank shared ACT floor (already folded with the global floor),
-    /// recomputed once per scan instead of once per closed bank.
-    act_floor_buf: Vec<Ps>,
-    /// `geometry().banks`, cached for the flat-index → rank division.
-    banks_per_rank: usize,
+    /// Arbitration mirror of `plans`, one slot per bank (see
+    /// [`BankEntry`]). Maintained by `refresh_plan`.
+    entries: Vec<BankEntry>,
+    /// Bitmask words over the banks whose plan is out of date. A pick
+    /// replans exactly these banks and moves them between kinds.
+    stale: Vec<u64>,
+    /// Per-kind cached winners (see [`KindWinner`]), indexed by `KIND_*`.
+    kinds: Vec<KindWinner>,
+    /// Member bitmask words of every kind: kind `k` owns
+    /// `members[k * words..(k + 1) * words]`.
+    members: Vec<u64>,
+    /// Bitmask words per kind (`banks.div_ceil(64)`).
+    words: usize,
+    /// Set when a command issued since the last pick: only an issue moves
+    /// the shared floors (`now`, the block, the column and ACT windows),
+    /// so a pick after mere arrivals skips re-flooring the kinds.
+    floors_moved: bool,
+    /// Flat index → bank coordinates, so materializing a winner and
+    /// finding a bank's ACT kind need no division.
+    bank_ids: Vec<BankId>,
     /// Banks whose activation counter has crossed `cfg.rfm_bat` since the
     /// last proactive RFM — the O(1) stand-in for scanning `raa`.
     raa_armed: u32,
@@ -174,16 +214,8 @@ pub struct MemController {
     pending: usize,
     /// The already-computed next command and its instant, carried across
     /// [`MemController::run_until`] calls. Valid until a command issues,
-    /// a fault hook fires, or an arriving request *wins* the incremental
-    /// re-check in [`MemController::enqueue`] — losing arrivals keep it.
+    /// a request arrives or a fault hook fires.
     cached_next: Option<(Command, Ps)>,
-    /// The packed winning scan candidate (see [`pack_cand`]) behind
-    /// `cached_next` when it came from the demand arm (`None` for
-    /// ALERT/RFM/refresh commands). Lets `enqueue` compare a new request's
-    /// candidate against the cached winner exactly instead of always
-    /// rescanning: floors and `now` only move on issue, and issue drops
-    /// the cache anyway.
-    cached_demand: Option<u128>,
     /// Per-bank activation counters for proactive RFM (reset on RFM).
     raa: Vec<u32>,
     now: Ps,
@@ -215,22 +247,28 @@ impl std::fmt::Debug for MemController {
 impl MemController {
     /// Creates a controller for sub-channel index `subch` of the channel.
     pub fn new(mut device: Subchannel, cfg: McConfig, subch: u32) -> Self {
-        let nbanks = device.geometry().banks_per_subchannel() as usize;
-        let ranks = device.geometry().ranks as usize;
+        let g = *device.geometry();
+        let nbanks = g.banks_per_subchannel() as usize;
+        let words = nbanks.div_ceil(64);
+        let nkinds = KIND_ACT + g.ranks as usize;
         device.set_subch_index(subch);
         let mut mc = MemController {
             cfg,
             subch,
             queues: vec![VecDeque::new(); nbanks],
             plans: vec![BankPlan::Idle; nbanks],
-            active: vec![0; nbanks.div_ceil(64)],
-            entries: vec![STALE_ENTRY; nbanks],
-            act_floor_buf: vec![Ps::ZERO; ranks],
-            banks_per_rank: 0,
+            entries: vec![IDLE_ENTRY; nbanks],
+            stale: vec![0; words],
+            kinds: vec![EMPTY_KIND; nkinds],
+            members: vec![0; nkinds * words],
+            words,
+            floors_moved: true,
+            bank_ids: (0..g.ranks)
+                .flat_map(|r| (0..g.banks).map(move |b| BankId::new(subch, r, b)))
+                .collect(),
             raa_armed: 0,
             pending: 0,
             cached_next: None,
-            cached_demand: None,
             raa: vec![0; nbanks],
             now: Ps::ZERO,
             alert_observed_at: None,
@@ -241,29 +279,28 @@ impl MemController {
             hit_run: 0,
             device,
         };
-        mc.banks_per_rank = mc.device.geometry().banks as usize;
-        mc.set_all_active();
+        mc.mark_all_stale();
         mc
     }
 
-    #[inline]
-    fn set_active(&mut self, flat: usize) {
-        self.active[flat >> 6] |= 1 << (flat & 63);
-    }
-
-    /// Marks bank `flat`'s plan out of date and re-arms its scan bit.
+    /// Marks bank `flat`'s plan out of date.
     #[inline]
     fn stale_bank(&mut self, flat: usize) {
-        self.entries[flat].kind = KIND_STALE;
-        self.set_active(flat);
+        self.stale[flat >> 6] |= 1 << (flat & 63);
     }
 
-    fn set_all_active(&mut self) {
-        let n = self.plans.len();
-        for (w, word) in self.active.iter_mut().enumerate() {
+    /// Marks every plan out of date after a command that touched every
+    /// bank (PREA, REF, RFM), and empties every kind: the next pick folds
+    /// each bank back in from scratch.
+    fn mark_all_stale(&mut self) {
+        let n = self.entries.len();
+        for (w, word) in self.stale.iter_mut().enumerate() {
             let bits = n.saturating_sub(w * 64).min(64);
             *word = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
         }
+        self.entries.fill(IDLE_ENTRY);
+        self.members.fill(0);
+        self.kinds.fill(EMPTY_KIND);
     }
 
     /// Attaches a telemetry handle (cloned down into the device and its
@@ -344,30 +381,18 @@ impl MemController {
             own_cmd_at: None,
         });
         self.pending += 1;
-        if self.cached_next.is_some() {
-            // Floors and `now` are untouched since the cached peek (issuing
-            // clears the cache), so this arrival can only change the next
-            // action through its own bank's candidate. Re-plan just that
-            // bank and keep the cache when the fresh candidate loses — the
-            // common case, and what turns the post-arrival re-peek from a
-            // full bank scan into O(1).
-            let e = self.refresh_plan(flat);
-            self.set_active(flat);
-            if !self.cache_survives_arrival(flat, e) {
-                self.cached_next = None;
-            }
-        } else {
-            self.stale_bank(flat);
+        // The next pick folds the bank's fresh candidate into its kind
+        // with one `min`. An ALERT back-off or a due RFM outranks demand
+        // and reads no queue, so while one is pending the cached next
+        // command stands.
+        self.stale_bank(flat);
+        if self.alert_observed_at.is_none() && !self.rfm_due() {
+            self.cached_next = None;
         }
         if self.telemetry.is_enabled() {
             self.telemetry
                 .observe(names::MC_QUEUE_OCCUPANCY, self.pending_requests() as u64);
         }
-    }
-
-    fn bank_id(&self, flat: usize) -> BankId {
-        let g = self.device.geometry();
-        BankId::new(self.subch, flat as u32 / g.banks, flat as u32 % g.banks)
     }
 
     /// Recomputes the plan for bank `flat` from its queue and row state.
@@ -417,17 +442,20 @@ impl MemController {
         }
     }
 
-    /// Refreshes the plan *and* its structure-of-arrays scan mirror for
-    /// bank `flat`. The key stores `max(local, arrival)` — the selection
-    /// `at` is then a single `max` against the per-class shared floor,
-    /// because `max(local, floor, block, arrival, now)` factors into
+    /// Refreshes the plan *and* its arbitration mirror for bank `flat`.
+    /// The key stores `max(local, arrival)` — the selection `at` is then a
+    /// single `max` against the kind's shared floor, because
+    /// `max(local, floor, block, arrival, now)` factors into
     /// `max(max(local, arrival), max(floor, block, now))`.
     #[inline]
-    fn refresh_plan(&mut self, flat: usize) -> ScanEntry {
+    fn refresh_plan(&mut self, flat: usize) -> BankEntry {
         let p = self.bank_plan(flat);
         self.plans[flat] = p;
         let (kind, class, key, arr) = match p {
-            BankPlan::Idle => (KIND_IDLE, u8::MAX, Ps::MAX, Ps::MAX),
+            BankPlan::Idle => {
+                self.entries[flat] = IDLE_ENTRY;
+                return IDLE_ENTRY;
+            }
             BankPlan::SoftClose { local } => (KIND_SOFTCLOSE, 3, local, Ps::MAX),
             BankPlan::Hit {
                 local,
@@ -443,171 +471,148 @@ impl MemController {
             BankPlan::Conflict { local, arrival } => {
                 (KIND_CONFLICT, 2, local.max(arrival), arrival)
             }
-            BankPlan::Act { local, arrival, .. } => (KIND_ACT, 1, local.max(arrival), arrival),
+            BankPlan::Act { local, arrival, .. } => (
+                KIND_ACT + self.bank_ids[flat].rank as usize,
+                1,
+                local.max(arrival),
+                arrival,
+            ),
         };
-        let packed = if kind == KIND_IDLE {
-            u128::MAX
-        } else {
-            pack_cand(key, class, arr, flat)
-        };
-        let e = ScanEntry {
-            kind,
-            class,
-            key,
-            arr,
-            packed,
+        let e = BankEntry {
+            kind: kind as u8,
+            packed: pack_cand(key, class, arr, flat),
         };
         self.entries[flat] = e;
         e
     }
 
-    /// Picks the best demand-side candidate (column > activate > precharge,
-    /// earliest issue time first, oldest request breaking ties) from the
-    /// per-bank plan cache, visiting only banks whose `active` bit is set
-    /// and refreshing only banks whose state changed since the last pick.
-    /// The winning [`Command`] is materialized once, after the scan.
-    fn best_demand(&mut self) -> Option<Candidate> {
-        // Per-class floors with the global block floor and `now` folded in,
-        // indexed by kind (masked, so the lookup is provably in bounds).
-        // With a single rank the shared ACT floor is uniform and lives in
-        // the same table; multi-rank devices take the per-rank branch.
+    /// Step 1 of a pick: moves every kind to its current shared floor, with
+    /// the global block floor and `now` folded in.
+    fn refloor(&mut self) {
         let base = self.device.block_floor().max(self.now);
-        for (r, f) in self.act_floor_buf.iter_mut().enumerate() {
-            *f = self.device.act_floor(r).max(base);
+        self.set_floor(KIND_RD, self.device.col_floor(false).max(base));
+        self.set_floor(KIND_WR, self.device.col_floor(true).max(base));
+        self.set_floor(KIND_CONFLICT, base);
+        self.set_floor(KIND_SOFTCLOSE, base);
+        for r in 0..self.kinds.len() - KIND_ACT {
+            self.set_floor(KIND_ACT + r, self.device.act_floor(r).max(base));
         }
-        let single_rank = self.act_floor_buf.len() == 1;
-        let floors = [
-            self.device.col_floor(false).max(base),
-            self.device.col_floor(true).max(base),
-            if single_rank {
-                self.act_floor_buf[0]
-            } else {
-                Ps::MAX
-            },
-            base,
-            base,
-            Ps::MAX,
-            Ps::MAX,
-            Ps::MAX,
-        ];
-        // Winner fold, branchless: candidates are pre-packed at refresh
-        // time (see [`ScanEntry::packed`]), so a visit folds the floor in
-        // with `max(packed, floor<<AT | low)` — identical to re-packing
-        // `max(key, floor)`, since the low bits match — and the selection
-        // rule is then a plain u128 `min`, which compiles to compare+cmov
-        // instead of the data-dependent branch chain a tuple compare
-        // produces; the branches of a min-reduction are inherently
-        // unpredictable.
-        let floors_packed = floors.map(|f| u128::from(f.as_ps().min(PACK_MASK48)) << PACK_AT);
-        let mut best: u128 = u128::MAX;
-        for w in 0..self.active.len() {
-            let mut word = self.active[w];
+    }
+
+    /// Moves kind `k` to `floor`, dirtying it when the move leaves its
+    /// winner inexact. `floor > winner` exactly when the floor passed
+    /// `at(winner)`: the winner's low bits never reach into the `at` field.
+    /// With the device's timing model floors only rise (`now` and the
+    /// block are monotone, and each column or ACT issue lifts its floor
+    /// past the old one); the fall test guards the rule.
+    #[inline]
+    fn set_floor(&mut self, k: usize, floor: Ps) {
+        let floor = pack_floor(floor);
+        let kw = &mut self.kinds[k];
+        if kw.winner != u128::MAX && (floor < kw.floor || floor > kw.winner) {
+            kw.dirty = true;
+        }
+        kw.floor = floor;
+    }
+
+    /// Picks the best demand-side candidate (column > activate > precharge,
+    /// earliest issue time first, oldest request breaking ties, lowest flat
+    /// bank last) from the per-kind cached winners. A pick costs
+    /// O(kinds + changed banks) plus a rescan of the members of each kind
+    /// whose winner the changes invalidated:
+    ///
+    /// 1. re-floor every kind, dirtying one whose floor fell or passed its
+    ///    winner (the [`KindWinner`] exactness rule);
+    /// 2. replan the stale banks, moving each between kinds: a departing
+    ///    winner dirties its kind, a joining candidate folds in with `min`;
+    /// 3. rescan each dirty kind over its own members, and take the `min`
+    ///    of the kind winners.
+    ///
+    /// The winning [`Command`] is materialized once, afterwards.
+    fn best_demand(&mut self) -> Option<Candidate> {
+        if std::mem::take(&mut self.floors_moved) {
+            self.refloor();
+        }
+        let words = self.words;
+        for w in 0..words {
+            let mut word = std::mem::take(&mut self.stale[w]);
             while word != 0 {
                 let bit = word.trailing_zeros() as usize;
                 word &= word - 1;
                 let flat = (w << 6) | bit;
-                let mut e = self.entries[flat];
-                if e.kind >= KIND_IDLE {
-                    if e.kind == KIND_STALE {
-                        e = self.refresh_plan(flat);
-                    }
-                    if e.kind >= KIND_IDLE {
-                        self.active[w] &= !(1u64 << bit);
-                        continue;
+                let old = self.entries[flat];
+                let e = self.refresh_plan(flat);
+                if e.kind == old.kind && e.packed == old.packed {
+                    continue;
+                }
+                if old.kind != NO_KIND {
+                    let k = old.kind as usize;
+                    self.members[k * words + w] &= !(1u64 << bit);
+                    let kw = &mut self.kinds[k];
+                    if (kw.winner & 0xff) as usize == flat {
+                        kw.dirty = true;
                     }
                 }
-                let floor = if single_rank || e.kind != KIND_ACT {
-                    floors_packed[(e.kind & 7) as usize]
-                } else {
-                    u128::from(self.act_floor_buf[flat / self.banks_per_rank].as_ps()) << PACK_AT
-                };
-                let cand = e.packed.max(floor | (e.packed & PACK_LOW_MASK));
-                best = best.min(cand);
+                if e.kind != NO_KIND {
+                    let k = e.kind as usize;
+                    self.members[k * words + w] |= 1u64 << bit;
+                    let kw = &mut self.kinds[k];
+                    if !kw.dirty {
+                        kw.winner = kw.winner.min(floored(e.packed, kw.floor));
+                    }
+                }
             }
+        }
+        let mut best = u128::MAX;
+        for k in 0..self.kinds.len() {
+            if self.kinds[k].dirty {
+                let floor = self.kinds[k].floor;
+                let mut winner = u128::MAX;
+                for w in 0..words {
+                    let mut word = self.members[k * words + w];
+                    while word != 0 {
+                        let flat = (w << 6) | word.trailing_zeros() as usize;
+                        word &= word - 1;
+                        winner = winner.min(floored(self.entries[flat].packed, floor));
+                    }
+                }
+                self.kinds[k] = KindWinner {
+                    winner,
+                    floor,
+                    dirty: false,
+                };
+            }
+            best = best.min(self.kinds[k].winner);
         }
         if best == u128::MAX {
             return None;
         }
-        self.cached_demand = Some(best);
         let best_at = Ps::from_ps((best >> PACK_AT) as u64);
         let flat = (best & 0xff) as usize;
+        let bank = self.bank_ids[flat];
         let cmd = match self.plans[flat] {
-            BankPlan::SoftClose { .. } | BankPlan::Conflict { .. } => Command::Pre {
-                bank: self.bank_id(flat),
-            },
+            BankPlan::SoftClose { .. } | BankPlan::Conflict { .. } => Command::Pre { bank },
             BankPlan::Hit { col, write, .. } => {
-                let bank = self.bank_id(flat);
                 if write {
                     Command::Wr { bank, col }
                 } else {
                     Command::Rd { bank, col }
                 }
             }
-            BankPlan::Act { row, .. } => Command::Act {
-                bank: self.bank_id(flat),
-                row,
-            },
+            BankPlan::Act { row, .. } => Command::Act { bank, row },
             BankPlan::Idle => unreachable!("winner holds a candidate"),
         };
         Some(Candidate { cmd, at: best_at })
     }
 
-    /// Whether `cached_next` still names the controller's next action after
-    /// a request arrived on bank `flat` with fresh scan entry `e`.
-    ///
-    /// Exactness argument: between the cached peek and this arrival no
-    /// command issued (issue drops the cache), so `now`, every shared
-    /// floor, the ALERT latch and the RAA counters are all unchanged — a
-    /// full re-peek would differ from the cached one only in bank `flat`'s
-    /// candidate. It therefore suffices to rebuild that single candidate
-    /// and replay the two decisions it could flip: the FR-FCFS winner
-    /// comparison (same `(at, class, arrival)` tuple with the ascending-
-    /// flat tie-break) and the demand-before-refresh deadline check.
-    fn cache_survives_arrival(&mut self, flat: usize, e: ScanEntry) -> bool {
-        // ALERT and proactive-RFM arms outrank demand entirely: no arrival
-        // can preempt them, and the arrival does not change their state.
-        if self.alert_observed_at.is_some() {
-            return true;
-        }
-        if let Some(bat) = self.cfg.rfm_bat {
-            if bat == 0 || self.raa_armed > 0 {
-                return true;
-            }
-        }
-        // A bank with a queued request always yields a demand candidate.
-        debug_assert!(e.kind <= KIND_CONFLICT, "arrival must plan a command");
-        let base = self.device.block_floor().max(self.now);
-        let floor = match e.kind {
-            KIND_RD => self.device.col_floor(false).max(base),
-            KIND_WR => self.device.col_floor(true).max(base),
-            KIND_ACT => self.device.act_floor(flat / self.banks_per_rank).max(base),
-            _ => base,
-        };
-        let at = e.key.max(floor);
-        match self.cached_demand {
-            // Cached demand command: survives unless the arrival lands on
-            // the winning bank itself (its plan may have changed) or the
-            // fresh candidate beats the cached one under the packed
-            // selection order.
-            Some(winner) => {
-                (winner & 0xff) as usize != flat && winner <= pack_cand(at, e.class, e.arr, flat)
-            }
-            // Cached refresh path (PreAll/Ref): demand preempts it only
-            // strictly before the postponement deadline.
-            None => {
-                let deadline = self.device.next_ref_due().max(self.now)
-                    + self.device.timing().t_refi * u64::from(self.cfg.postpone_refs);
-                at >= deadline
-            }
-        }
+    /// The next command the controller wants to issue, with its instant.
+    /// Whether a proactive RFM is due: some bank's activation counter
+    /// reached BAT (or BAT is zero).
+    fn rfm_due(&self) -> bool {
+        self.cfg.rfm_bat == Some(0) || self.raa_armed > 0
     }
 
-    /// The next command the controller wants to issue, with its instant.
     fn next_action(&mut self) -> Option<(Command, Ps)> {
-        // Rewritten by `best_demand` when the demand arm wins; every other
-        // arm leaves it cleared so `enqueue`'s re-check takes the
-        // refresh-preemption branch.
-        self.cached_demand = None;
         let t = self.device.timing();
         // 1. ALERT back-off has absolute priority.
         if let Some(t0) = self.alert_observed_at {
@@ -623,18 +628,16 @@ impl MemController {
             return Some((Command::Rfm { alert: true }, at));
         }
         // 2. Proactive RFM when a bank's activation counter reaches BAT.
-        if let Some(bat) = self.cfg.rfm_bat {
-            if bat == 0 || self.raa_armed > 0 {
-                if !self.device.all_precharged() {
-                    let e = self.device.earliest(&Command::PreAll)?;
-                    return Some((Command::PreAll, e.max(self.now)));
-                }
-                let e = self
-                    .device
-                    .earliest(&Command::Rfm { alert: false })
-                    .expect("all banks precharged");
-                return Some((Command::Rfm { alert: false }, e.max(self.now)));
+        if self.rfm_due() {
+            if !self.device.all_precharged() {
+                let e = self.device.earliest(&Command::PreAll)?;
+                return Some((Command::PreAll, e.max(self.now)));
             }
+            let e = self
+                .device
+                .earliest(&Command::Rfm { alert: false })
+                .expect("all banks precharged");
+            return Some((Command::Rfm { alert: false }, e.max(self.now)));
         }
         // 3. Demand traffic until refresh is due (plus any postponement
         // budget). Postponed REFs are repaid back-to-back afterwards.
@@ -645,7 +648,6 @@ impl MemController {
                 return Some((c.cmd, c.at));
             }
         }
-        self.cached_demand = None;
         let ref_at = self.device.next_ref_due().max(self.now);
         // 4. Refresh path: precharge everything, then REF on time.
         if self.device.all_precharged() {
@@ -678,13 +680,6 @@ impl MemController {
         self.peek_next().1
     }
 
-    fn mark_all_stale(&mut self) {
-        for e in &mut self.entries {
-            e.kind = KIND_STALE;
-        }
-        self.set_all_active();
-    }
-
     fn mark_head(&mut self, flat: usize, act: bool) {
         let spans = self.spans;
         let now = self.now;
@@ -712,9 +707,7 @@ impl MemController {
     /// the skip-ahead sim loop acts on.
     pub fn run_until(&mut self, t_end: Ps, out: &mut Vec<Completion>) {
         let opp = self.opp;
-        let mut pass_cmds: u64 = 0;
-        let (mut batch_reads, mut batch_writes) = (0u64, 0u64);
-        let (mut batch_acts, mut batch_refs) = (0u64, 0u64);
+        let mut pass = PassCounts::default();
         loop {
             let (cmd, at) = self.peek_next();
             if at > t_end {
@@ -726,211 +719,214 @@ impl MemController {
                 }
                 break;
             }
-            self.cached_next = None;
-            pass_cmds += 1;
-            self.now = at;
-            self.telemetry
-                .trace_line(|| trace_line(self.subch, &cmd, at));
-            match cmd {
-                Command::Rd { bank, col } | Command::Wr { bank, col } => {
-                    let flat = bank.flat_in_subchannel(self.device.geometry());
-                    let row = self.device.open_row(bank).expect("column to open row");
-                    let pos = self.queues[flat]
-                        .iter()
-                        .position(|x| x.req.addr.row == row && x.req.addr.col == col)
-                        .expect("queued request for column command");
-                    let q = self.queues[flat].remove(pos).expect("position valid");
-                    self.pending -= 1;
-                    let issued = self.device.issue(cmd, at);
-                    self.stale_bank(flat);
-                    let done = issued.data_ready.expect("column returns data time");
-                    if self.spans {
-                        self.telemetry.span_request(
-                            self.subch,
-                            flat,
-                            q.req.arrival.as_ps(),
-                            q.own_cmd_at.map(Ps::as_ps),
-                            at.as_ps(),
-                        );
-                    }
-                    // Row-buffer classification.
-                    if q.needed_pre {
-                        self.stats.row_conflicts += 1;
-                    } else if q.needed_act {
-                        self.stats.row_misses += 1;
-                    } else {
-                        self.stats.row_hits += 1;
-                    }
-                    if self.telemetry.is_enabled() {
-                        if q.needed_pre || q.needed_act {
-                            self.finish_telemetry();
-                        } else {
-                            self.hit_run += 1;
-                        }
-                    }
-                    match q.req.kind {
-                        AccessKind::Read => {
-                            self.stats.reads_done += 1;
-                            self.stats.read_latency_ps += (done - q.req.arrival).as_ps();
-                            batch_reads += 1;
-                            self.telemetry.observe(
-                                names::MC_READ_LATENCY_NS,
-                                (done - q.req.arrival).as_ps() / 1000,
-                            );
-                            out.push(Completion {
-                                id: q.req.id,
-                                done_at: done,
-                            });
-                        }
-                        AccessKind::Write => {
-                            self.stats.writes_done += 1;
-                            batch_writes += 1;
-                            out.push(Completion {
-                                id: q.req.id,
-                                done_at: at,
-                            });
-                        }
-                    }
-                }
-                Command::Act { bank, .. } => {
-                    let flat = bank.flat_in_subchannel(self.device.geometry());
-                    self.mark_head(flat, true);
-                    self.raa[flat] += 1;
-                    if self.cfg.rfm_bat == Some(self.raa[flat]) {
-                        self.raa_armed += 1;
-                    }
-                    self.device.issue(cmd, at);
-                    self.stale_bank(flat);
-                    batch_acts += 1;
-                }
-                Command::Pre { bank } => {
-                    let flat = bank.flat_in_subchannel(self.device.geometry());
-                    // Mark only when the close is on behalf of a waiting miss.
-                    if !self.queues[flat].is_empty() {
-                        self.mark_head(flat, false);
-                    }
-                    self.device.issue(cmd, at);
-                    self.stale_bank(flat);
-                }
-                Command::PreAll => {
-                    self.device.issue(cmd, at);
-                    self.mark_all_stale();
-                }
-                Command::Ref => {
-                    if self.spans {
-                        // Classify the whole tRFC window by whether the
-                        // mitigator piggybacked victim refreshes on this
-                        // REF (TRR-style) — the delta in its counter across
-                        // the issue tells us.
-                        let before = self.device.mitigation_stats().ref_mitigations;
-                        self.device.issue(cmd, at);
-                        let bucket = if self.device.mitigation_stats().ref_mitigations > before {
-                            StallBucket::MitigativeRef
-                        } else {
-                            StallBucket::Refresh
-                        };
-                        let t_rfc = self.device.timing().t_rfc;
-                        self.telemetry.span_block(
-                            self.subch,
-                            bucket,
-                            at.as_ps(),
-                            (at + t_rfc).as_ps(),
-                        );
-                    } else {
-                        self.device.issue(cmd, at);
-                    }
-                    self.mark_all_stale();
-                    batch_refs += 1;
-                }
-                Command::Rfm { alert } => {
-                    self.device.issue(cmd, at);
-                    self.mark_all_stale();
-                    if alert {
-                        if let Some(t0) = self.alert_observed_at.take() {
-                            let stall = at - t0;
-                            self.telemetry
-                                .observe(names::MC_ALERT_STALL_NS, stall.as_ps() / 1000);
-                            self.telemetry.event(
-                                at.as_ps(),
-                                names::EV_ALERT_CLEARED,
-                                &[
-                                    ("subch", Json::U64(u64::from(self.subch))),
-                                    ("stall_ns", Json::U64(stall.as_ps() / 1000)),
-                                ],
-                            );
-                            if self.spans {
-                                // The whole back-off — from observing
-                                // ALERT_n through the recovery RFM's tRFM —
-                                // is ABO stall.
-                                let t_rfm = self.device.timing().t_rfm;
-                                self.telemetry.span_block(
-                                    self.subch,
-                                    StallBucket::AboAlert,
-                                    t0.as_ps(),
-                                    (at + t_rfm).as_ps(),
-                                );
-                            }
-                        }
-                        self.stats.alerts_serviced += 1;
-                        self.telemetry.inc(names::MC_ALERTS, 1);
-                    } else {
-                        self.stats.rfms_issued += 1;
-                        self.telemetry.inc(names::MC_RFMS, 1);
-                        self.telemetry.event(
-                            at.as_ps(),
-                            names::EV_RFM_ISSUED,
-                            &[("subch", Json::U64(u64::from(self.subch)))],
-                        );
-                        if self.spans {
-                            let t_rfm = self.device.timing().t_rfm;
-                            self.telemetry.span_block(
-                                self.subch,
-                                StallBucket::Rfm,
-                                at.as_ps(),
-                                (at + t_rfm).as_ps(),
-                            );
-                        }
-                        for c in &mut self.raa {
-                            *c = 0;
-                        }
-                        self.raa_armed = 0;
-                    }
-                }
-            }
-            // Sample the ALERT line after every command.
-            if self.alert_observed_at.is_none() && self.device.alert_asserted() {
-                self.alert_observed_at = Some(self.now);
-                self.telemetry.event(
-                    self.now.as_ps(),
-                    names::EV_ALERT_RAISED,
-                    &[("subch", Json::U64(u64::from(self.subch)))],
-                );
-            }
+            self.issue(cmd, at, out, &mut pass);
         }
         // Flush the batched command counters once per pass (before any
         // epoch boundary can read them) instead of per command. Zero
         // deltas are skipped so untouched counters never materialize.
-        if batch_reads > 0 {
-            self.telemetry.inc(names::MC_READS, batch_reads);
+        if pass.reads > 0 {
+            self.telemetry.inc(names::MC_READS, pass.reads);
         }
-        if batch_writes > 0 {
-            self.telemetry.inc(names::MC_WRITES, batch_writes);
+        if pass.writes > 0 {
+            self.telemetry.inc(names::MC_WRITES, pass.writes);
         }
-        if batch_acts > 0 {
-            self.telemetry.inc(names::MC_ACTS, batch_acts);
+        if pass.acts > 0 {
+            self.telemetry.inc(names::MC_ACTS, pass.acts);
         }
-        if batch_refs > 0 {
-            self.telemetry.inc(names::MC_REFS, batch_refs);
+        if pass.refs > 0 {
+            self.telemetry.inc(names::MC_REFS, pass.refs);
         }
         if opp {
             self.telemetry.inc(names::MC_OPP_SCHED_PASSES, 1);
-            if pass_cmds == 0 {
+            if pass.cmds == 0 {
                 // Under the event core an idle pass means "this window
                 // held no event", not "a full scan found nothing".
                 self.telemetry.inc(names::MC_OPP_IDLE_PASSES, 1);
             }
             self.telemetry
-                .observe(names::MC_OPP_CMDS_PER_PASS, pass_cmds);
+                .observe(names::MC_OPP_CMDS_PER_PASS, pass.cmds);
+        }
+    }
+
+    /// Issues `cmd` at `at`, updating queues, plans, statistics and the
+    /// ALERT latch, and appending any completion to `out`.
+    fn issue(&mut self, cmd: Command, at: Ps, out: &mut Vec<Completion>, pass: &mut PassCounts) {
+        self.cached_next = None;
+        self.floors_moved = true;
+        pass.cmds += 1;
+        self.now = at;
+        self.telemetry
+            .trace_line(|| trace_line(self.subch, &cmd, at));
+        match cmd {
+            Command::Rd { bank, col } | Command::Wr { bank, col } => {
+                let flat = bank.flat_in_subchannel(self.device.geometry());
+                let row = self.device.open_row(bank).expect("column to open row");
+                let pos = self.queues[flat]
+                    .iter()
+                    .position(|x| x.req.addr.row == row && x.req.addr.col == col)
+                    .expect("queued request for column command");
+                let q = self.queues[flat].remove(pos).expect("position valid");
+                self.pending -= 1;
+                let issued = self.device.issue(cmd, at);
+                self.stale_bank(flat);
+                let done = issued.data_ready.expect("column returns data time");
+                if self.spans {
+                    self.telemetry.span_request(
+                        self.subch,
+                        flat,
+                        q.req.arrival.as_ps(),
+                        q.own_cmd_at.map(Ps::as_ps),
+                        at.as_ps(),
+                    );
+                }
+                // Row-buffer classification.
+                if q.needed_pre {
+                    self.stats.row_conflicts += 1;
+                } else if q.needed_act {
+                    self.stats.row_misses += 1;
+                } else {
+                    self.stats.row_hits += 1;
+                }
+                if self.telemetry.is_enabled() {
+                    if q.needed_pre || q.needed_act {
+                        self.finish_telemetry();
+                    } else {
+                        self.hit_run += 1;
+                    }
+                }
+                match q.req.kind {
+                    AccessKind::Read => {
+                        self.stats.reads_done += 1;
+                        self.stats.read_latency_ps += (done - q.req.arrival).as_ps();
+                        pass.reads += 1;
+                        self.telemetry.observe(
+                            names::MC_READ_LATENCY_NS,
+                            (done - q.req.arrival).as_ps() / 1000,
+                        );
+                        out.push(Completion {
+                            id: q.req.id,
+                            done_at: done,
+                        });
+                    }
+                    AccessKind::Write => {
+                        self.stats.writes_done += 1;
+                        pass.writes += 1;
+                        out.push(Completion {
+                            id: q.req.id,
+                            done_at: at,
+                        });
+                    }
+                }
+            }
+            Command::Act { bank, .. } => {
+                let flat = bank.flat_in_subchannel(self.device.geometry());
+                self.mark_head(flat, true);
+                self.raa[flat] += 1;
+                if self.cfg.rfm_bat == Some(self.raa[flat]) {
+                    self.raa_armed += 1;
+                }
+                self.device.issue(cmd, at);
+                self.stale_bank(flat);
+                pass.acts += 1;
+            }
+            Command::Pre { bank } => {
+                let flat = bank.flat_in_subchannel(self.device.geometry());
+                // Mark only when the close is on behalf of a waiting miss.
+                if !self.queues[flat].is_empty() {
+                    self.mark_head(flat, false);
+                }
+                self.device.issue(cmd, at);
+                self.stale_bank(flat);
+            }
+            Command::PreAll => {
+                self.device.issue(cmd, at);
+                self.mark_all_stale();
+            }
+            Command::Ref => {
+                if self.spans {
+                    // Classify the whole tRFC window by whether the
+                    // mitigator piggybacked victim refreshes on this
+                    // REF (TRR-style) — the delta in its counter across
+                    // the issue tells us.
+                    let before = self.device.mitigation_stats().ref_mitigations;
+                    self.device.issue(cmd, at);
+                    let bucket = if self.device.mitigation_stats().ref_mitigations > before {
+                        StallBucket::MitigativeRef
+                    } else {
+                        StallBucket::Refresh
+                    };
+                    let t_rfc = self.device.timing().t_rfc;
+                    self.telemetry
+                        .span_block(self.subch, bucket, at.as_ps(), (at + t_rfc).as_ps());
+                } else {
+                    self.device.issue(cmd, at);
+                }
+                self.mark_all_stale();
+                pass.refs += 1;
+            }
+            Command::Rfm { alert } => {
+                self.device.issue(cmd, at);
+                self.mark_all_stale();
+                if alert {
+                    if let Some(t0) = self.alert_observed_at.take() {
+                        let stall = at - t0;
+                        self.telemetry
+                            .observe(names::MC_ALERT_STALL_NS, stall.as_ps() / 1000);
+                        self.telemetry.event(
+                            at.as_ps(),
+                            names::EV_ALERT_CLEARED,
+                            &[
+                                ("subch", Json::U64(u64::from(self.subch))),
+                                ("stall_ns", Json::U64(stall.as_ps() / 1000)),
+                            ],
+                        );
+                        if self.spans {
+                            // The whole back-off — from observing
+                            // ALERT_n through the recovery RFM's tRFM —
+                            // is ABO stall.
+                            let t_rfm = self.device.timing().t_rfm;
+                            self.telemetry.span_block(
+                                self.subch,
+                                StallBucket::AboAlert,
+                                t0.as_ps(),
+                                (at + t_rfm).as_ps(),
+                            );
+                        }
+                    }
+                    self.stats.alerts_serviced += 1;
+                    self.telemetry.inc(names::MC_ALERTS, 1);
+                } else {
+                    self.stats.rfms_issued += 1;
+                    self.telemetry.inc(names::MC_RFMS, 1);
+                    self.telemetry.event(
+                        at.as_ps(),
+                        names::EV_RFM_ISSUED,
+                        &[("subch", Json::U64(u64::from(self.subch)))],
+                    );
+                    if self.spans {
+                        let t_rfm = self.device.timing().t_rfm;
+                        self.telemetry.span_block(
+                            self.subch,
+                            StallBucket::Rfm,
+                            at.as_ps(),
+                            (at + t_rfm).as_ps(),
+                        );
+                    }
+                    for c in &mut self.raa {
+                        *c = 0;
+                    }
+                    self.raa_armed = 0;
+                }
+            }
+        }
+        // Sample the ALERT line after every command.
+        if self.alert_observed_at.is_none() && self.device.alert_asserted() {
+            self.alert_observed_at = Some(self.now);
+            self.telemetry.event(
+                self.now.as_ps(),
+                names::EV_ALERT_RAISED,
+                &[("subch", Json::U64(u64::from(self.subch)))],
+            );
         }
     }
 }
@@ -963,7 +959,7 @@ mod tests {
     use super::*;
     use mirza_dram::address::{DramAddr, MappingScheme, RowMapping};
     use mirza_dram::geometry::Geometry;
-    use mirza_dram::mitigation::NullMitigator;
+    use mirza_dram::mitigation::{MitigationStats, Mitigator, NullMitigator, RefreshSlice};
     use mirza_dram::timing::TimingParams;
 
     fn mc(cfg: McConfig) -> MemController {
@@ -1158,5 +1154,271 @@ mod tests {
         assert_eq!(mc.pending_requests(), 0);
         // Device saw at least one REF along the way.
         assert!(mc.device().stats().refs > 0);
+    }
+
+    /// A toy tracker that wants an ALERT back-off after every `every`
+    /// ACTs, so differential streams exercise the ABO arm. `every` must
+    /// exceed the number of banks a stream touches: otherwise the ACTs
+    /// that reopen them after a back-off raise the next ALERT before any
+    /// column command issues, and the controller livelocks.
+    struct AlertEvery {
+        every: u64,
+        acts: u64,
+        pending: bool,
+    }
+
+    impl Mitigator for AlertEvery {
+        fn name(&self) -> &'static str {
+            "alert-every"
+        }
+
+        fn on_activate(&mut self, _bank: usize, _row: u32, _now: Ps) {
+            self.acts += 1;
+            if self.acts.is_multiple_of(self.every) {
+                self.pending = true;
+            }
+        }
+
+        fn alert_pending(&self) -> bool {
+            self.pending
+        }
+
+        fn on_ref(&mut self, _slice: &RefreshSlice, _now: Ps) {}
+
+        fn on_rfm(&mut self, alert: bool, _now: Ps) {
+            if alert {
+                self.pending = false;
+            }
+        }
+
+        fn stats(&self) -> MitigationStats {
+            MitigationStats::default()
+        }
+    }
+
+    /// A controller over `ranks` ranks of 32 banks, optionally with an
+    /// ALERT-raising tracker and PRAC timings.
+    fn differential_mc(
+        ranks: u32,
+        cfg: McConfig,
+        alert_every: Option<u64>,
+        prac: bool,
+    ) -> MemController {
+        let geom = Geometry {
+            ranks,
+            ..Geometry::ddr5_32gb()
+        };
+        let mitigator: Box<dyn Mitigator> = match alert_every {
+            Some(every) => Box::new(AlertEvery {
+                every,
+                acts: 0,
+                pending: false,
+            }),
+            None => Box::new(NullMitigator::new()),
+        };
+        let timing = if prac {
+            TimingParams::ddr5_6000_prac()
+        } else {
+            TimingParams::ddr5_6000()
+        };
+        let device = Subchannel::new(
+            timing,
+            geom,
+            RowMapping::for_geometry(MappingScheme::Strided, &geom),
+            mitigator,
+        );
+        MemController::new(device, cfg, 0)
+    }
+
+    /// Brute-force FR-FCFS reference for `next_action`, with the
+    /// semantics the controller had before per-kind winners: every bank's
+    /// candidate is re-derived from its queue and row state, its instant
+    /// comes from [`Subchannel::earliest`], and all banks are folded in
+    /// ascending flat order under the strict `(at, class, arrival)` order.
+    /// It reads none of the controller's plans, kinds or caches.
+    fn reference_next(mc: &MemController) -> (Command, Ps) {
+        let d = &mc.device;
+        let t = d.timing();
+        // A blocking command once every bank is closed, else PREA first.
+        let after_prea = |cmd: Command, floor: Ps| {
+            if d.all_precharged() {
+                (cmd, d.earliest(&cmd).expect("precharged").max(floor))
+            } else {
+                let e = d.earliest(&Command::PreAll).expect("PREA is legal");
+                (Command::PreAll, e.max(mc.now))
+            }
+        };
+        if let Some(t0) = mc.alert_observed_at {
+            let floor = (t0 + t.t_alert_prologue).max(mc.now);
+            return after_prea(Command::Rfm { alert: true }, floor);
+        }
+        if let Some(bat) = mc.cfg.rfm_bat {
+            if bat == 0 || mc.raa.iter().any(|&c| c >= bat) {
+                return after_prea(Command::Rfm { alert: false }, mc.now);
+            }
+        }
+        let deadline = d.next_ref_due().max(mc.now) + t.t_refi * u64::from(mc.cfg.postpone_refs);
+        if let Some((cmd, at)) = reference_demand(mc) {
+            if at < deadline {
+                return (cmd, at);
+            }
+        }
+        after_prea(Command::Ref, d.next_ref_due().max(mc.now))
+    }
+
+    fn reference_demand(mc: &MemController) -> Option<(Command, Ps)> {
+        let g = *mc.device.geometry();
+        let mut best: Option<((Ps, u8, Ps, usize), Command)> = None;
+        for (flat, q) in mc.queues.iter().enumerate() {
+            let bank = BankId::new(mc.subch, flat as u32 / g.banks, flat as u32 % g.banks);
+            let (cmd, class, arrival) = match (mc.device.open_row(bank), q.front()) {
+                (None, None) => continue,
+                (Some(_), None) => (Command::Pre { bank }, 3, Ps::MAX),
+                (Some(row), Some(head)) => match q.iter().find(|x| x.req.addr.row == row) {
+                    Some(hit) => {
+                        let col = hit.req.addr.col;
+                        let cmd = match hit.req.kind {
+                            AccessKind::Read => Command::Rd { bank, col },
+                            AccessKind::Write => Command::Wr { bank, col },
+                        };
+                        (cmd, 0, hit.req.arrival)
+                    }
+                    None => (Command::Pre { bank }, 2, head.req.arrival),
+                },
+                (None, Some(head)) => {
+                    let row = head.req.addr.row;
+                    (Command::Act { bank, row }, 1, head.req.arrival)
+                }
+            };
+            let mut at = mc.device.earliest(&cmd).expect("candidate is legal");
+            at = at.max(mc.now);
+            if class != 3 {
+                at = at.max(arrival);
+            }
+            let key = (at, class, arrival, flat);
+            if best.is_none_or(|(b, _)| key < b) {
+                best = Some((key, cmd));
+            }
+        }
+        best.map(|((at, ..), cmd)| (cmd, at))
+    }
+
+    /// Issues every command up to `t_end` one at a time, asserting before
+    /// each that the controller's pick equals the reference's.
+    fn run_checked(mc: &mut MemController, t_end: Ps, issued: &mut Vec<(Command, Ps)>) {
+        let mut out = Vec::new();
+        let mut pass = PassCounts::default();
+        loop {
+            let expect = reference_next(mc);
+            let got = mc.peek_next();
+            assert_eq!(got, expect, "pick {} diverged", issued.len());
+            if got.1 > t_end {
+                return;
+            }
+            mc.issue(got.0, got.1, &mut out, &mut pass);
+            issued.push(got);
+        }
+    }
+
+    /// Drives an op stream through `mc` under [`run_checked`], then drains
+    /// it. Ops are `(op, a, b, c)`: 0–5 enqueue a read (0–3) or write
+    /// (4–5) on one of 12 banks spread over every rank, on one of 4 rows so
+    /// that hits and conflicts both occur; 6–7 advance time; 8 masks
+    /// ALERT; 9 skips refresh steps. Returns the issued sequence.
+    fn drive_checked(mc: &mut MemController, ops: &[(u8, u32, u32, u64)]) -> Vec<(Command, Ps)> {
+        let g = *mc.device.geometry();
+        let nbanks = g.banks_per_subchannel();
+        let mut clock = Ps::ZERO;
+        let mut issued = Vec::new();
+        for (id, &(op, a, b, c)) in ops.iter().enumerate() {
+            match op % 10 {
+                0..=5 => {
+                    let flat = (a % 12) * nbanks / 12;
+                    mc.enqueue(Request {
+                        id: id as u64,
+                        addr: DramAddr {
+                            bank: BankId::new(0, flat / g.banks, flat % g.banks),
+                            row: (b % 4) * 977,
+                            col: (c % 64) as u32,
+                        },
+                        kind: if op % 10 >= 4 {
+                            AccessKind::Write
+                        } else {
+                            AccessKind::Read
+                        },
+                        arrival: clock,
+                    });
+                    clock += Ps::from_ns(c % 40);
+                }
+                6 | 7 => {
+                    clock += Ps::from_ns(c % 2_000);
+                    run_checked(mc, clock, &mut issued);
+                }
+                8 => mc.mask_alert_until(mc.now() + Ps::from_ns(u64::from(a % 3_000))),
+                _ => mc.skip_refresh_steps(a % 4),
+            }
+        }
+        run_checked(mc, clock + Ps::from_us(100), &mut issued);
+        assert_eq!(mc.pending_requests(), 0, "drain completes every request");
+        issued
+    }
+
+    proptest::proptest! {
+        /// The per-kind incremental arbitration picks exactly the command
+        /// and instant of the brute-force reference at every step, over
+        /// random streams on 1-, 2- and 4-rank sub-channels with proactive
+        /// RFM, refresh postponement, ALERT back-offs, PRAC timings and the
+        /// ALERT-mask and refresh-skip fault hooks.
+        #[test]
+        fn incremental_arbitration_matches_brute_force_reference(
+            ops in proptest::collection::vec(
+                (0u8..10, 0u32..u32::MAX, 0u32..u32::MAX, 0u64..u64::MAX),
+                1..250,
+            ),
+            rank_log2 in 0u32..3,
+            bat in proptest::option::of(2u32..24),
+            postpone_refs in 0u32..5,
+            alert_every in proptest::option::of(16u64..64),
+            prac in 0u8..2,
+        ) {
+            let cfg = McConfig { rfm_bat: bat, postpone_refs };
+            let mut mc = differential_mc(1 << rank_log2, cfg, alert_every, prac == 1);
+            drive_checked(&mut mc, &ops);
+        }
+    }
+
+    #[test]
+    fn differential_streams_reach_every_arbitration_path() {
+        // A fixed long stream on two ranks: the property above must not
+        // pass vacuously, so pin that its op mix reaches hits, conflicts,
+        // writes, ACTs on the second rank, refresh, proactive RFM and
+        // ALERT back-offs.
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let ops: Vec<_> = (0..3_000)
+            .map(|_| {
+                let r = next();
+                ((r % 10) as u8, (r >> 8) as u32, (r >> 24) as u32, next())
+            })
+            .collect();
+        let cfg = McConfig {
+            rfm_bat: Some(12),
+            postpone_refs: 2,
+        };
+        let mut mc = differential_mc(2, cfg, Some(20), false);
+        let issued = drive_checked(&mut mc, &ops);
+        let s = *mc.stats();
+        assert!(s.row_hits > 0 && s.row_conflicts > 0 && s.row_misses > 0);
+        assert!(s.writes_done > 0 && s.reads_done > 0);
+        assert!(s.alerts_serviced > 0 && s.rfms_issued > 0);
+        assert!(mc.device().stats().refs > 0);
+        assert!(issued
+            .iter()
+            .any(|(c, _)| matches!(c, Command::Act { bank, .. } if bank.rank == 1)));
     }
 }

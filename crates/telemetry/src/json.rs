@@ -173,6 +173,7 @@ impl Json {
     /// Parses a JSON document (strict enough for round-tripping our output).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -222,6 +223,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -314,13 +316,18 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-borrow as str to handle multi-byte UTF-8.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain characters up to the next
+                    // quote or escape. Both are ASCII, which never occurs
+                    // inside a multi-byte UTF-8 sequence, so the run ends on
+                    // a char boundary of the (already valid) input and each
+                    // byte is visited once.
+                    let start = self.pos - 1;
+                    let end = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |i| start + i);
+                    s.push_str(&self.text[start..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -457,6 +464,7 @@ impl From<Vec<Json>> for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn escapes_special_characters() {
@@ -519,5 +527,109 @@ mod tests {
         assert_eq!(doc.get("f").unwrap().as_f64(), Some(1.5));
         assert_eq!(doc.get("s").unwrap().as_str(), Some("x"));
         assert_eq!(doc.get("missing"), None);
+    }
+
+    /// A document of `n` chrome-trace-like events: long plain and
+    /// multi-byte strings with escapes, numbers and nesting.
+    fn trace_like(n: usize) -> Json {
+        Json::Arr(
+            (0..n)
+                .map(|i| {
+                    let mut e = Json::obj();
+                    e.push("name", format!("memctrl.run_until/{i} — réplica \"q\"\n"))
+                        .push("ph", if i % 2 == 0 { "B" } else { "E" })
+                        .push("ts", i as u64 * 1_000)
+                        .push("dur", -(i as i64) - 1)
+                        .push("frac", i as f64 / 7.0)
+                        .push("args", vec![Json::Str("x".repeat(64)), Json::Null]);
+                    e
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_document_size() {
+        // 10 MB of mostly string content. The parser used to re-validate
+        // the whole remaining buffer per string character, which took
+        // about 100 s on a 3.4 MB trace.
+        let doc = trace_like(52_000);
+        let text = doc.to_string_compact();
+        assert!(text.len() > 10_000_000, "{} bytes", text.len());
+        let t0 = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(parsed, doc);
+        // 1 s in release; unoptimized builds get 10x.
+        let bound = if cfg!(debug_assertions) { 10.0 } else { 1.0 };
+        assert!(
+            secs < bound,
+            "10 MB parsed in {secs:.2} s (bound {bound} s)"
+        );
+    }
+
+    /// A random document from `seed`: every value type, nesting up to
+    /// `depth`, and strings mixing ASCII, multi-byte UTF-8, escapes and
+    /// control characters.
+    fn random_doc(rng: &mut u64, depth: u32) -> Json {
+        let mut next = || {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            *rng
+        };
+        const ALPHABET: &[char] = &[
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', 'é', '—', '𝄞', '{', ']', ':',
+            ',',
+        ];
+        let r = next();
+        let kinds = if depth == 0 { 6 } else { 8 };
+        match r % kinds {
+            0 => Json::Null,
+            1 => Json::Bool(r & 0x100 != 0),
+            2 => Json::U64(next() >> (next() % 64)),
+            // Non-negative integers parse back as U64.
+            3 => Json::I64(-1 - (next() >> (1 + next() % 63)) as i64),
+            4 => {
+                let f = f64::from_bits(next());
+                Json::F64(if f.is_finite() {
+                    f
+                } else {
+                    (r % 1000) as f64 / 8.0
+                })
+            }
+            5 => {
+                let len = (next() % 24) as usize;
+                Json::Str(
+                    (0..len)
+                        .map(|_| ALPHABET[(next() % ALPHABET.len() as u64) as usize])
+                        .collect(),
+                )
+            }
+            6 => {
+                let len = next() % 5;
+                Json::Arr((0..len).map(|_| random_doc(rng, depth - 1)).collect())
+            }
+            _ => {
+                let len = next() % 5;
+                let mut o = Json::obj();
+                for i in 0..len {
+                    let v = random_doc(rng, depth - 1);
+                    o.push(&format!("k{i}é\"{}", r % 7), v);
+                }
+                o
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Compact and pretty output of any document parse back to it.
+        #[test]
+        fn generated_documents_round_trip(seed in 1u64..u64::MAX, depth in 0u32..5) {
+            let mut rng = seed;
+            let doc = random_doc(&mut rng, depth);
+            prop_assert_eq!(Json::parse(&doc.to_string_compact()).unwrap(), doc.clone());
+            prop_assert_eq!(Json::parse(&doc.to_string_pretty()).unwrap(), doc);
+        }
     }
 }

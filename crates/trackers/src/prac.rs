@@ -27,6 +27,9 @@ pub struct PracMoat {
     counters: Vec<Vec<u16>>,
     /// Rows at/above ATH awaiting mitigation, per bank.
     pending: Vec<Vec<u32>>,
+    /// Total length of the `pending` vectors, so the ALERT poll (once per
+    /// issued command) is O(1) instead of a scan over every bank.
+    pending_rows: usize,
     stats: MitigationStats,
     log: MitigationLog,
 }
@@ -60,6 +63,7 @@ impl PracMoat {
             rows_per_bank: geom.rows_per_bank,
             counters: vec![vec![0; geom.rows_per_bank as usize]; banks],
             pending: vec![Vec::new(); banks],
+            pending_rows: 0,
             stats: MitigationStats::default(),
             log: MitigationLog::new(),
         }
@@ -100,11 +104,12 @@ impl Mitigator for PracMoat {
         *c = c.saturating_add(1);
         if u32::from(*c) == self.ath {
             self.pending[bank].push(row);
+            self.pending_rows += 1;
         }
     }
 
     fn alert_pending(&self) -> bool {
-        self.pending.iter().any(|p| !p.is_empty())
+        self.pending_rows > 0
     }
 
     fn on_ref(&mut self, slice: &RefreshSlice, _now: Ps) {
@@ -114,7 +119,9 @@ impl Mitigator for PracMoat {
                 debug_assert!(phys < self.rows_per_bank);
                 self.counters[bank][phys as usize] = 0;
             }
+            let before = self.pending[bank].len();
             self.pending[bank].retain(|&r| u32::from(self.counters[bank][r as usize]) >= self.ath);
+            self.pending_rows -= before - self.pending[bank].len();
         }
     }
 
@@ -124,6 +131,7 @@ impl Mitigator for PracMoat {
         }
         for bank in 0..self.pending.len() {
             if let Some(row) = self.pending[bank].pop() {
+                self.pending_rows -= 1;
                 self.mitigate(bank, row);
             }
         }
@@ -225,5 +233,34 @@ mod tests {
         assert_eq!(p.counter(0, 9), 4);
         assert_eq!(p.counter(1, 9), 4);
         assert!(!p.alert_pending());
+    }
+
+    #[test]
+    fn pending_row_count_tracks_the_vectors_through_refresh_and_rfm() {
+        let mut p = PracMoat::new(3, &geom());
+        let in_vectors = |p: &PracMoat| p.pending.iter().map(Vec::len).sum::<usize>();
+        let mut x: u32 = 12345;
+        for step in 0..20_000u32 {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            // Few hot rows per bank, so rows cross ATH often and refresh
+            // slices (16 rows each) cover some of them.
+            p.on_activate(((x >> 16) % 2) as usize, (x >> 20) % 48, Ps::ZERO);
+            if step % 97 == 0 {
+                let start = (step / 97 % 4) * 16;
+                p.on_ref(
+                    &RefreshSlice {
+                        index: u64::from(step),
+                        phys_rows: start..start + 16,
+                    },
+                    Ps::ZERO,
+                );
+            }
+            if step % 13 == 0 {
+                p.on_rfm(step % 2 == 0, Ps::ZERO);
+            }
+            assert_eq!(p.pending_rows, in_vectors(&p), "step {step}");
+            assert_eq!(p.alert_pending(), p.pending_rows > 0);
+        }
+        assert!(p.stats().mitigations > 0, "the stream must reach RFM pops");
     }
 }
