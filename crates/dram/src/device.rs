@@ -504,12 +504,12 @@ impl Subchannel {
             "command {cmd:?} at {now} violates timing (earliest {earliest})"
         );
         self.last_issue_at = now;
-        let t = self.timing.clone();
+        let t = &self.timing;
         let issued = match cmd {
             Command::Act { bank, row } => {
                 let rank = bank.rank as usize;
                 let flat = self.flat(bank);
-                self.banks[flat].issue_act(row, now, &t);
+                self.banks[flat].issue_act(row, now, t);
                 self.open_count += 1;
                 self.last_act[rank] = Some(now);
                 self.faw[rank].push_back(now);
@@ -545,7 +545,7 @@ impl Subchannel {
                 let flat = self.flat(bank);
                 let row = self.banks[flat].open_row().expect("PRE closes a row");
                 let opened_at = self.banks[flat].last_act_at();
-                self.banks[flat].issue_pre(now, &t);
+                self.banks[flat].issue_pre(now, t);
                 self.open_count -= 1;
                 self.stats.pres += 1;
                 self.charge_rowpress(flat, row, opened_at, now);
@@ -569,7 +569,7 @@ impl Subchannel {
                 for (flat, b) in self.banks.iter_mut().enumerate() {
                     if let Some(row) = b.open_row() {
                         let opened_at = b.last_act_at();
-                        b.issue_pre(now, &t);
+                        b.issue_pre(now, t);
                         self.stats.pres += 1;
                         closed.push((flat, row, opened_at));
                     }
@@ -595,7 +595,7 @@ impl Subchannel {
             Command::Rd { bank, .. } => {
                 let flat = self.flat(bank);
                 let row = self.banks[flat].open_row().expect("RD to closed bank");
-                let done = self.banks[flat].issue_rd(row, now, &t);
+                let done = self.banks[flat].issue_rd(row, now, t);
                 self.bus_free = done;
                 self.last_burst_was_write = false;
                 self.next_col_cmd = now + t.t_ccd;
@@ -609,7 +609,7 @@ impl Subchannel {
             Command::Wr { bank, .. } => {
                 let flat = self.flat(bank);
                 let row = self.banks[flat].open_row().expect("WR to closed bank");
-                let done = self.banks[flat].issue_wr(row, now, &t);
+                let done = self.banks[flat].issue_wr(row, now, t);
                 self.bus_free = done;
                 self.last_burst_was_write = true;
                 self.next_col_cmd = now + t.t_ccd;

@@ -73,28 +73,47 @@ const IDLE_ENTRY: BankEntry = BankEntry {
 /// One candidate kind's cached FR-FCFS winner.
 ///
 /// Exactness rule: `winner` is the `min` over the kind's members of the
-/// floored candidate `pack_cand(max(key, floor), ..)`. It stays exact while
-/// the members are unchanged and the floor moves within
-/// `floor ≤ new floor ≤ at(winner)`: the winner's `at` is then unchanged,
-/// and every other member's candidate can only rise. Every base/`now` rise
-/// after an issue lands in that window unless it passes the winner.
+/// floored candidate `pack_cand(max(key, floor, now), ..)`. It stays exact
+/// while the members are unchanged and the effective floor moves within
+/// `old ≤ new ≤ at(winner)`: the winner's `at` is then unchanged, and
+/// every other member's candidate can only rise.
+///
+/// `floor` itself leaves `now` out, so a command that moves no floor of
+/// this kind leaves the kind untouched. `now` rises only by issuing, and
+/// stays inside the window without being stored: after a demand command
+/// `now` is its instant, the `min` over every kind's winner, so it never
+/// passes any winner's `at`; every other command (PREA, REF, RFM) empties
+/// all kinds. `now` is therefore folded in only where a candidate is
+/// evaluated afresh: a joiner's `min` and a dirty kind's rescan.
 #[derive(Debug, Clone, Copy)]
 struct KindWinner {
     /// Best floored member candidate, `u128::MAX` when the kind is empty.
     winner: u128,
-    /// The shared floor `winner` was folded at, pre-shifted into the `at`
+    /// The kind's shared floor without `now`, pre-shifted into the `at`
     /// field of the pack.
     floor: u128,
-    /// The winner left the kind or the floor moved outside the exactness
-    /// window: recompute `winner` from the members.
-    dirty: bool,
 }
 
 const EMPTY_KIND: KindWinner = KindWinner {
     winner: u128::MAX,
     floor: 0,
-    dirty: false,
 };
+
+/// The kinds whose shared floor issuing `cmd` moves, as a bitmask over
+/// `KIND_*` (see [`MemController::refloor`] for the floors themselves).
+/// An ACT moves its rank's tRRD/tFAW window, a column command the
+/// column/bus floor of both directions, and a PRE only bank-local state.
+/// PREA, REF and RFM empty every kind (`mark_all_stale`) and REF/RFM lift
+/// the global block, so they re-floor every kind.
+#[inline]
+fn floors_moved_by(cmd: &Command) -> u32 {
+    match *cmd {
+        Command::Act { bank, .. } => 1 << (KIND_ACT + bank.rank as usize),
+        Command::Rd { .. } | Command::Wr { .. } => (1 << KIND_RD) | (1 << KIND_WR),
+        Command::Pre { .. } => 0,
+        Command::PreAll | Command::Ref | Command::Rfm { .. } => u32::MAX,
+    }
+}
 
 /// Packed candidate layout: `[at:48 | class:8 | arr:48 | flat:8]`.
 /// Ordering a candidate by this u128 is exactly the FR-FCFS selection rule
@@ -199,10 +218,12 @@ pub struct MemController {
     members: Vec<u64>,
     /// Bitmask words per kind (`banks.div_ceil(64)`).
     words: usize,
-    /// Set when a command issued since the last pick: only an issue moves
-    /// the shared floors (`now`, the block, the column and ACT windows),
-    /// so a pick after mere arrivals skips re-flooring the kinds.
-    floors_moved: bool,
+    /// Kinds whose shared floor a command issued since the last pick
+    /// moved ([`floors_moved_by`]): the next pick re-floors exactly these.
+    moved: u32,
+    /// Kinds whose cached winner a floor move or a departing winner left
+    /// inexact: the next pick rescans exactly these over their members.
+    dirty: u32,
     /// Flat index → bank coordinates, so materializing a winner and
     /// finding a bank's ACT kind need no division.
     bank_ids: Vec<BankId>,
@@ -251,6 +272,7 @@ impl MemController {
         let nbanks = g.banks_per_subchannel() as usize;
         let words = nbanks.div_ceil(64);
         let nkinds = KIND_ACT + g.ranks as usize;
+        assert!(nkinds <= 32, "kind masks hold at most 32 kinds");
         device.set_subch_index(subch);
         let mut mc = MemController {
             cfg,
@@ -262,7 +284,8 @@ impl MemController {
             kinds: vec![EMPTY_KIND; nkinds],
             members: vec![0; nkinds * words],
             words,
-            floors_moved: true,
+            moved: u32::MAX,
+            dirty: 0,
             bank_ids: (0..g.ranks)
                 .flat_map(|r| (0..g.banks).map(move |b| BankId::new(subch, r, b)))
                 .collect(),
@@ -301,6 +324,7 @@ impl MemController {
         self.entries.fill(IDLE_ENTRY);
         self.members.fill(0);
         self.kinds.fill(EMPTY_KIND);
+        self.dirty = 0;
     }
 
     /// Attaches a telemetry handle (cloned down into the device and its
@@ -486,53 +510,63 @@ impl MemController {
         e
     }
 
-    /// Step 1 of a pick: moves every kind to its current shared floor, with
-    /// the global block floor and `now` folded in.
+    /// Step 1 of a pick: moves each kind in the `moved` mask to its current
+    /// shared floor with the global block folded in. These are the floor
+    /// definitions [`floors_moved_by`] mirrors; `now` is not part of them
+    /// (see [`KindWinner`]).
     fn refloor(&mut self) {
-        let base = self.device.block_floor().max(self.now);
-        self.set_floor(KIND_RD, self.device.col_floor(false).max(base));
-        self.set_floor(KIND_WR, self.device.col_floor(true).max(base));
-        self.set_floor(KIND_CONFLICT, base);
-        self.set_floor(KIND_SOFTCLOSE, base);
-        for r in 0..self.kinds.len() - KIND_ACT {
-            self.set_floor(KIND_ACT + r, self.device.act_floor(r).max(base));
+        let mut moved = std::mem::take(&mut self.moved) & (u32::MAX >> (32 - self.kinds.len()));
+        let block = self.device.block_floor();
+        while moved != 0 {
+            let k = moved.trailing_zeros() as usize;
+            moved &= moved - 1;
+            let floor = match k {
+                KIND_RD => self.device.col_floor(false),
+                KIND_WR => self.device.col_floor(true),
+                KIND_CONFLICT | KIND_SOFTCLOSE => Ps::ZERO,
+                _ => self.device.act_floor(k - KIND_ACT),
+            };
+            self.set_floor(k, floor.max(block));
         }
     }
 
-    /// Moves kind `k` to `floor`, dirtying it when the move leaves its
-    /// winner inexact. `floor > winner` exactly when the floor passed
-    /// `at(winner)`: the winner's low bits never reach into the `at` field.
-    /// With the device's timing model floors only rise (`now` and the
-    /// block are monotone, and each column or ACT issue lifts its floor
-    /// past the old one); the fall test guards the rule.
+    /// Moves kind `k` to `floor` (which excludes `now`), dirtying it when
+    /// the move leaves its winner inexact. `floor > winner` exactly when
+    /// the floor passed `at(winner)`: the winner's low bits never reach
+    /// into the `at` field. Leaving `now` out is exact because `now` never
+    /// passes a surviving winner's `at` (the [`KindWinner`] argument), so
+    /// `max(floor, now)` crosses the winner only where `floor` does. With
+    /// the device's timing model floors only rise (the block is monotone,
+    /// and each column or ACT issue lifts its floor past the old one); the
+    /// fall test guards the rule.
     #[inline]
     fn set_floor(&mut self, k: usize, floor: Ps) {
         let floor = pack_floor(floor);
         let kw = &mut self.kinds[k];
         if kw.winner != u128::MAX && (floor < kw.floor || floor > kw.winner) {
-            kw.dirty = true;
+            self.dirty |= 1 << k;
         }
         kw.floor = floor;
     }
 
     /// Picks the best demand-side candidate (column > activate > precharge,
     /// earliest issue time first, oldest request breaking ties, lowest flat
-    /// bank last) from the per-kind cached winners. A pick costs
-    /// O(kinds + changed banks) plus a rescan of the members of each kind
-    /// whose winner the changes invalidated:
+    /// bank last) from the per-kind cached winners. A pick touches only
+    /// what changed since the last one:
     ///
-    /// 1. re-floor every kind, dirtying one whose floor fell or passed its
-    ///    winner (the [`KindWinner`] exactness rule);
+    /// 1. re-floor the kinds whose floor the issued commands moved,
+    ///    dirtying one whose floor fell or passed its winner (the
+    ///    [`KindWinner`] exactness rule);
     /// 2. replan the stale banks, moving each between kinds: a departing
-    ///    winner dirties its kind, a joining candidate folds in with `min`;
-    /// 3. rescan each dirty kind over its own members, and take the `min`
-    ///    of the kind winners.
+    ///    winner dirties its kind, a joining candidate folds in with `min`
+    ///    at `max(floor, now)`;
+    /// 3. rescan each dirty kind over its own members at `max(floor, now)`,
+    ///    and take the `min` of the kind winners.
     ///
     /// The winning [`Command`] is materialized once, afterwards.
     fn best_demand(&mut self) -> Option<Candidate> {
-        if std::mem::take(&mut self.floors_moved) {
-            self.refloor();
-        }
+        self.refloor();
+        let now = pack_floor(self.now);
         let words = self.words;
         for w in 0..words {
             let mut word = std::mem::take(&mut self.stale[w]);
@@ -548,42 +582,44 @@ impl MemController {
                 if old.kind != NO_KIND {
                     let k = old.kind as usize;
                     self.members[k * words + w] &= !(1u64 << bit);
-                    let kw = &mut self.kinds[k];
-                    if (kw.winner & 0xff) as usize == flat {
-                        kw.dirty = true;
+                    if (self.kinds[k].winner & 0xff) as usize == flat {
+                        self.dirty |= 1 << k;
                     }
                 }
                 if e.kind != NO_KIND {
                     let k = e.kind as usize;
                     self.members[k * words + w] |= 1u64 << bit;
-                    let kw = &mut self.kinds[k];
-                    if !kw.dirty {
-                        kw.winner = kw.winner.min(floored(e.packed, kw.floor));
+                    if self.dirty & (1 << k) == 0 {
+                        let kw = &mut self.kinds[k];
+                        kw.winner = kw.winner.min(floored(e.packed, kw.floor.max(now)));
                     }
                 }
             }
         }
-        let mut best = u128::MAX;
-        for k in 0..self.kinds.len() {
-            if self.kinds[k].dirty {
-                let floor = self.kinds[k].floor;
-                let mut winner = u128::MAX;
-                for w in 0..words {
-                    let mut word = self.members[k * words + w];
-                    while word != 0 {
-                        let flat = (w << 6) | word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        winner = winner.min(floored(self.entries[flat].packed, floor));
-                    }
+        // With this device model the rescan's `now` fold never binds. Only
+        // ACT and RD/WR members can sit below `now` (a closed bank whose
+        // request waited, or a hit that arrived late), and those kinds are
+        // dirtied only by an ACT or column issue, which lifts their floor
+        // to `now` or past it. CONFLICT and SOFTCLOSE keys never fall below
+        // `now`: their PRE release follows the bank's last command. The
+        // fold keeps the rescan exact without leaning on that argument.
+        let mut dirty = std::mem::take(&mut self.dirty);
+        while dirty != 0 {
+            let k = dirty.trailing_zeros() as usize;
+            dirty &= dirty - 1;
+            let floor = self.kinds[k].floor.max(now);
+            let mut winner = u128::MAX;
+            for w in 0..words {
+                let mut word = self.members[k * words + w];
+                while word != 0 {
+                    let flat = (w << 6) | word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    winner = winner.min(floored(self.entries[flat].packed, floor));
                 }
-                self.kinds[k] = KindWinner {
-                    winner,
-                    floor,
-                    dirty: false,
-                };
             }
-            best = best.min(self.kinds[k].winner);
+            self.kinds[k].winner = winner;
         }
+        let best = self.kinds.iter().fold(u128::MAX, |b, kw| b.min(kw.winner));
         if best == u128::MAX {
             return None;
         }
@@ -752,7 +788,7 @@ impl MemController {
     /// ALERT latch, and appending any completion to `out`.
     fn issue(&mut self, cmd: Command, at: Ps, out: &mut Vec<Completion>, pass: &mut PassCounts) {
         self.cached_next = None;
-        self.floors_moved = true;
+        self.moved |= floors_moved_by(&cmd);
         pass.cmds += 1;
         self.now = at;
         self.telemetry
@@ -1320,20 +1356,39 @@ mod tests {
         }
     }
 
+    /// What [`drive_checked`] saw: the issued sequence, and how many
+    /// requests arrived before the controller's `now` when enqueued.
+    struct Driven {
+        issued: Vec<(Command, Ps)>,
+        late_arrivals: usize,
+    }
+
     /// Drives an op stream through `mc` under [`run_checked`], then drains
     /// it. Ops are `(op, a, b, c)`: 0–5 enqueue a read (0–3) or write
     /// (4–5) on one of 12 banks spread over every rank, on one of 4 rows so
-    /// that hits and conflicts both occur; 6–7 advance time; 8 masks
-    /// ALERT; 9 skips refresh steps. Returns the issued sequence.
-    fn drive_checked(mc: &mut MemController, ops: &[(u8, u32, u32, u64)]) -> Vec<(Command, Ps)> {
+    /// that hits and conflicts both occur; 6 enqueues the same way, but
+    /// with an arrival up to 500 ns before `mc.now()` (clamped at 0), as
+    /// the system's cores deliver most requests; 7–8 advance time; 9
+    /// masks ALERT; 10 skips refresh steps.
+    fn drive_checked(mc: &mut MemController, ops: &[(u8, u32, u32, u64)]) -> Driven {
         let g = *mc.device.geometry();
         let nbanks = g.banks_per_subchannel();
         let mut clock = Ps::ZERO;
         let mut issued = Vec::new();
+        let mut late_arrivals = 0;
         for (id, &(op, a, b, c)) in ops.iter().enumerate() {
-            match op % 10 {
-                0..=5 => {
+            match op % 11 {
+                op @ 0..=6 => {
                     let flat = (a % 12) * nbanks / 12;
+                    let (write, arrival) = if op == 6 {
+                        let at = mc.now().saturating_sub(Ps::from_ns(c % 500));
+                        (b & 16 != 0, at)
+                    } else {
+                        (op >= 4, clock)
+                    };
+                    if arrival < mc.now() {
+                        late_arrivals += 1;
+                    }
                     mc.enqueue(Request {
                         id: id as u64,
                         addr: DramAddr {
@@ -1341,38 +1396,44 @@ mod tests {
                             row: (b % 4) * 977,
                             col: (c % 64) as u32,
                         },
-                        kind: if op % 10 >= 4 {
+                        kind: if write {
                             AccessKind::Write
                         } else {
                             AccessKind::Read
                         },
-                        arrival: clock,
+                        arrival,
                     });
-                    clock += Ps::from_ns(c % 40);
+                    if op != 6 {
+                        clock += Ps::from_ns(c % 40);
+                    }
                 }
-                6 | 7 => {
+                7 | 8 => {
                     clock += Ps::from_ns(c % 2_000);
                     run_checked(mc, clock, &mut issued);
                 }
-                8 => mc.mask_alert_until(mc.now() + Ps::from_ns(u64::from(a % 3_000))),
+                9 => mc.mask_alert_until(mc.now() + Ps::from_ns(u64::from(a % 3_000))),
                 _ => mc.skip_refresh_steps(a % 4),
             }
         }
         run_checked(mc, clock + Ps::from_us(100), &mut issued);
         assert_eq!(mc.pending_requests(), 0, "drain completes every request");
-        issued
+        Driven {
+            issued,
+            late_arrivals,
+        }
     }
 
     proptest::proptest! {
         /// The per-kind incremental arbitration picks exactly the command
         /// and instant of the brute-force reference at every step, over
         /// random streams on 1-, 2- and 4-rank sub-channels with proactive
-        /// RFM, refresh postponement, ALERT back-offs, PRAC timings and the
-        /// ALERT-mask and refresh-skip fault hooks.
+        /// RFM, refresh postponement, ALERT back-offs, PRAC timings, requests
+        /// that arrive before the controller's `now`, and the ALERT-mask and
+        /// refresh-skip fault hooks.
         #[test]
         fn incremental_arbitration_matches_brute_force_reference(
             ops in proptest::collection::vec(
-                (0u8..10, 0u32..u32::MAX, 0u32..u32::MAX, 0u64..u64::MAX),
+                (0u8..11, 0u32..u32::MAX, 0u32..u32::MAX, 0u64..u64::MAX),
                 1..250,
             ),
             rank_log2 in 0u32..3,
@@ -1391,8 +1452,8 @@ mod tests {
     fn differential_streams_reach_every_arbitration_path() {
         // A fixed long stream on two ranks: the property above must not
         // pass vacuously, so pin that its op mix reaches hits, conflicts,
-        // writes, ACTs on the second rank, refresh, proactive RFM and
-        // ALERT back-offs.
+        // writes, ACTs on the second rank, refresh, proactive RFM, ALERT
+        // back-offs and arrivals dated before the controller's `now`.
         let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut next = || {
             x ^= x << 13;
@@ -1403,7 +1464,7 @@ mod tests {
         let ops: Vec<_> = (0..3_000)
             .map(|_| {
                 let r = next();
-                ((r % 10) as u8, (r >> 8) as u32, (r >> 24) as u32, next())
+                ((r % 11) as u8, (r >> 8) as u32, (r >> 24) as u32, next())
             })
             .collect();
         let cfg = McConfig {
@@ -1411,14 +1472,16 @@ mod tests {
             postpone_refs: 2,
         };
         let mut mc = differential_mc(2, cfg, Some(20), false);
-        let issued = drive_checked(&mut mc, &ops);
+        let driven = drive_checked(&mut mc, &ops);
         let s = *mc.stats();
         assert!(s.row_hits > 0 && s.row_conflicts > 0 && s.row_misses > 0);
         assert!(s.writes_done > 0 && s.reads_done > 0);
         assert!(s.alerts_serviced > 0 && s.rfms_issued > 0);
         assert!(mc.device().stats().refs > 0);
-        assert!(issued
+        assert!(driven
+            .issued
             .iter()
             .any(|(c, _)| matches!(c, Command::Act { bank, .. } if bank.rank == 1)));
+        assert!(driven.late_arrivals > 0, "no request arrived before `now`");
     }
 }

@@ -8,7 +8,6 @@ use mirza_dram::stats::DeviceStats;
 use mirza_dram::time::Ps;
 use mirza_frontend::cache::{CacheOutcome, SetAssocCache};
 use mirza_frontend::core::{AccessResult, Core, RunStatus};
-use mirza_frontend::hash::FxHashMap;
 use mirza_frontend::paging::PageAllocator;
 use mirza_frontend::trace::AccessStream;
 use mirza_memctrl::controller::MemController;
@@ -63,6 +62,23 @@ impl CoreSetup {
     }
 }
 
+/// Low bits of a request id that name the core waiting on it: `core + 1`,
+/// or 0 for a request no core waits on (an LLC write-back). The sequence
+/// number sits above them, so ids stay unique and a completion finds its
+/// core without a lookup table.
+const OWNER_BITS: u32 = 16;
+const OWNER_MASK: u64 = (1 << OWNER_BITS) - 1;
+
+/// The id of request number `seq`, owned by `owner` if some core waits on it.
+fn request_id(seq: u64, owner: Option<usize>) -> u64 {
+    (seq << OWNER_BITS) | owner.map_or(0, |core| core as u64 + 1)
+}
+
+/// The core waiting on request `id`, if any.
+fn request_owner(id: u64) -> Option<usize> {
+    (id & OWNER_MASK).checked_sub(1).map(|core| core as usize)
+}
+
 /// The simulated machine.
 pub struct System {
     cfg: SimConfig,
@@ -75,9 +91,7 @@ pub struct System {
     pager: PageAllocator,
     mapper: AddressMapper,
     mcs: Vec<MemController>,
-    // Insert per owned read, remove per completion — hot enough that the
-    // deterministic fast hasher is worth it (order never observed).
-    token_owner: FxHashMap<u64, usize>,
+    /// Sequence number of the next request id (see [`request_id`]).
     next_token: u64,
     issued_this_pass: bool,
     telemetry: Telemetry,
@@ -100,6 +114,10 @@ impl System {
     /// Panics if `setups` is empty.
     pub fn new(cfg: SimConfig, workload: &str, setups: Vec<CoreSetup>) -> Self {
         assert!(!setups.is_empty(), "need at least one core");
+        assert!(
+            setups.len() as u64 <= OWNER_MASK,
+            "core index must fit the request id's owner field"
+        );
         let geom = cfg.geometry;
         let timing = cfg.timing();
         let metrics_mapping = RowMapping::for_geometry(cfg.metrics_mapping, &geom);
@@ -147,7 +165,6 @@ impl System {
             pager: PageAllocator::new(geom.total_bytes()),
             mapper: AddressMapper::mop4(geom),
             mcs,
-            token_owner: FxHashMap::default(),
             next_token: 1,
             issued_this_pass: false,
             telemetry: Telemetry::disabled(),
@@ -171,12 +188,9 @@ impl System {
     }
 
     fn enqueue(&mut self, pa: u64, kind: AccessKind, now: Ps, owner: Option<usize>) -> u64 {
-        let token = self.next_token;
+        let token = request_id(self.next_token, owner);
         self.next_token += 1;
         let addr = self.mapper.decode(pa);
-        if let Some(core) = owner {
-            self.token_owner.insert(token, core);
-        }
         self.mcs[addr.bank.subch as usize].enqueue(Request {
             id: token,
             addr,
@@ -293,7 +307,7 @@ impl System {
                 }
                 let p = tel.profile_next_scaled(Phase::Device, p, PASS_SAMPLE);
                 for c in completions.drain(..) {
-                    if let Some(owner) = self.token_owner.remove(&c.id) {
+                    if let Some(owner) = request_owner(c.id) {
                         cores[owner].complete(c.id, c.done_at);
                         delivered = true;
                     }
@@ -474,7 +488,7 @@ impl System {
                 }
                 let p = tel.profile_next_scaled(Phase::Device, p, PASS_SAMPLE);
                 for c in completions.drain(..) {
-                    if let Some(owner) = self.token_owner.remove(&c.id) {
+                    if let Some(owner) = request_owner(c.id) {
                         cores[owner].complete(c.id, c.done_at);
                         if c.done_at > t_end {
                             future[owner].push(c.done_at);
